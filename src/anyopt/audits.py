@@ -25,7 +25,7 @@ from .conversion import anytime_identity_audit, run
 from .geometry import EuclideanMap, L2Ball, NegativeEntropyMap, Simplex, dual_norm
 from .learners import FtrlLearner, MirrorDescentLearner, QuadraticRegularizer
 from .objectives import Quadratic
-from .oracles import NoiseSpec, SyntheticOracle, child_rng
+from .oracles import NoiseSpec, SyntheticOracle, certified_sigma, child_rng
 from .robust import HeuristicThreshold, SmoothTheoryThreshold, certified_c0, exact_anchor
 
 IDENTITY_RTOL = 1e-9
@@ -60,6 +60,7 @@ class AuditReport:
 
 
 def _report(kind, m, violations, limit, details):
+    violations = int(violations)  # campaigns may count in numpy integers
     freq = violations / m
     se = math.sqrt(max(freq * (1.0 - freq), 1.0 / m) / m)
     details = dict(details)
@@ -90,80 +91,80 @@ def _ball_point(rng, dim, radius):
 
 SGD_AUDIT_DEFAULTS = dict(horizon=500, dim=5, noise_scale=0.02, noise_dof=2.5, delta=0.05)
 
+# Replications stepped together in one batched run; bounds the trace memory
+# (about 80 kB per replication at T = 500, d = 5) at any campaign size.
+REPLICATION_CHUNK = 100
 
-def _robust_sgd_replication(rng, horizon, dim, noise_scale, noise_dof, delta):
+
+def _robust_sgd_runs(replications, seed, horizon, dim, noise_scale, noise_dof, delta):
+    """Final excess risk and weighted sup-pairing error sum of every replication.
+
+    Replications draw their oracle seed and start point from the campaign
+    stream in turn, then run REPLICATION_CHUNK at a time as one batch.
+    """
     ball = L2Ball(np.zeros(dim), 1.0)
     obj = Quadratic(np.eye(dim), np.zeros(dim), feasible_set=ball)
     noise = NoiseSpec("student-t", noise_scale, noise_dof)
-    sigma = SyntheticOracle(noise).sigma(dim)
-    oracle = SyntheticOracle(noise, seed=rng.integers(2**63))
-
-    h1 = _ball_point(rng, dim, ball.radius)
-    anchor = exact_anchor(obj, h1, delta=delta)
+    sigma = certified_sigma(noise, dim)
     c0 = certified_c0(obj.smoothness, ball.diameter, sigma, horizon, delta)
     schedule = SmoothTheoryThreshold(smoothness=obj.smoothness, c0=c0)
     beta = 1.0 / obj.smoothness
-    learner = MirrorDescentLearner(EuclideanMap(), ball, steps=beta, h_start=h1)
+    rng = child_rng(seed, 0xC0)
 
-    trace = run(obj, oracle, anchor, schedule, learner, np.ones(horizon), horizon)
+    excess, error_sums = [], []
+    for done in range(0, replications, REPLICATION_CHUNK):
+        seeds, h1 = [], []
+        for _ in range(min(REPLICATION_CHUNK, replications - done)):
+            seeds.append(rng.integers(2**63))
+            h1.append(_ball_point(rng, dim, ball.radius))
+        h1 = np.array(h1)
+        anchor = exact_anchor(obj, h1, delta=delta)
+        learner = MirrorDescentLearner(EuclideanMap(), ball, steps=beta, h_start=h1)
+        trace = run(obj, SyntheticOracle(noise, seed=seeds), anchor, schedule, learner,
+                    np.ones(horizon), horizon)
 
-    excess = obj.value(trace.final_main)  # R(h_star) = 0 at the origin
-    error_sum = 0.0
-    for t in range(horizon):
-        err = trace.grads_processed[t] - obj.gradient(trace.main[t])
-        error_sum += trace.weights[t] * ball.support_gap(err)
+        excess += [obj.value(h) for h in trace.final_main]  # R(h_star) = 0 at the origin
+        errors = trace.grads_processed - obj.gradient(trace.main)
+        error_sums.append(trace.weights @ ball.support_gap(errors))
 
     inputs = BoundInputs.constant(
         ball.diameter, sigma, obj.smoothness, delta, horizon, beta=beta
     )
-    return excess, error_sum, inputs
+    return np.array(excess), np.concatenate(error_sums), inputs
+
+
+def _coverage_limit(delta, m):
+    return 2.0 * delta + 3.0 * math.sqrt(2.0 * delta * (1.0 - 2.0 * delta) / m)
 
 
 def sgd_coverage_campaign(replications, seed, **overrides):
     """Coverage of the closed-form SGD excess-risk envelope at level 1 - 2*delta."""
     params = {**SGD_AUDIT_DEFAULTS, **overrides}
-    rng = child_rng(seed, 0xC0)
-    violations = 0
-    worst = -math.inf
-    bound = None
-    for _ in range(int(replications)):
-        excess, _, inputs = _robust_sgd_replication(rng, **params)
-        bound = sgd_excess_bound(inputs)
-        worst = max(worst, excess)
-        violations += excess > bound
     m = int(replications)
-    delta = params["delta"]
-    limit = 2.0 * delta + 3.0 * math.sqrt(2.0 * delta * (1.0 - 2.0 * delta) / m)
+    excess, _, inputs = _robust_sgd_runs(m, seed, **params)
+    bound = sgd_excess_bound(inputs)
     return _report(
         "corollary-sgd",
         m,
-        violations,
-        limit,
-        {"bound": bound, "worst_excess": worst, **params},
+        np.sum(excess > bound),
+        _coverage_limit(params["delta"], m),
+        {"bound": bound, "worst_excess": float(excess.max()), **params},
     )
 
 
 def gradient_error_campaign(replications, seed, **overrides):
     """Coverage of max{q_delta, r_delta} over the weighted sup-pairing error sum."""
     params = {**SGD_AUDIT_DEFAULTS, **overrides}
-    rng = child_rng(seed, 0xC0)  # same stream layout as the excess-risk audit
-    violations = 0
-    worst = -math.inf
-    envelope = None
-    for _ in range(int(replications)):
-        _, error_sum, inputs = _robust_sgd_replication(rng, **params)
-        envelope = max(q_delta(inputs), r_delta(inputs))
-        worst = max(worst, error_sum)
-        violations += error_sum > envelope
     m = int(replications)
-    delta = params["delta"]
-    limit = 2.0 * delta + 3.0 * math.sqrt(2.0 * delta * (1.0 - 2.0 * delta) / m)
+    # same stream layout as the excess-risk audit
+    _, error_sums, inputs = _robust_sgd_runs(m, seed, **params)
+    envelope = max(q_delta(inputs), r_delta(inputs))
     return _report(
         "lemma2",
         m,
-        violations,
-        limit,
-        {"envelope": envelope, "worst_error_sum": worst, **params},
+        np.sum(error_sums > envelope),
+        _coverage_limit(params["delta"], m),
+        {"envelope": envelope, "worst_error_sum": float(error_sums.max()), **params},
     )
 
 
@@ -301,7 +302,30 @@ def smd_regret_campaign(replications, seed, horizon=101, dim=5, noise_scale=0.05
 
 def ftrl_regret_campaign(replications, seed, horizon=101, dim=5, noise_scale=0.05,
                          delta=0.05):
-    """Cumulative FTRL regret inequality at every horizon of every run."""
+    """Cumulative FTRL regret inequality at every horizon of every run.
+
+    FTRL plays h_1 = argmin_H psi_1 and h_{t+1} = argmin_H F_{t+1}, where
+    F_t = psi_t + sum_{i<t} <g_i, .> and psi_t = (s_t/2)||.||^2.  With
+    grad_t = grad R(h_bar_t) and g_t the processed gradient fed to the
+    learner, the bound checked at every horizon T < horizon is
+
+        sum_{t<=T} <g_t, h_t - u>  <=  psi_{T+1}(u) - psi_1(h_1)
+            + sum_{t<=T} [ (s_t - s_{t+1})/2 ||h_{t+1}||^2
+                           + ||grad_t||^2 / (2 s_t) + <grad_t - g_t, h_{t+1} - h_t> ].
+
+    Derivation: the FTRL equality (Orabona, "A Modern Introduction to Online
+    Learning", Lemma 7.1) writes the regret as psi_{T+1}(u) - psi_1(h_1)
+    + sum_{t<=T} [F_t(h_t) - F_{t+1}(h_{t+1}) + <g_t, h_t>]
+    + F_{T+1}(h_{T+1}) - F_{T+1}(u); the last pair is <= 0 since h_{T+1}
+    minimizes F_{T+1}.  With G_t = F_t + <g_t, .>, each summand is
+    G_t(h_t) - G_t(h_{t+1}) + psi_t(h_{t+1}) - psi_{t+1}(h_{t+1}).  F_t is
+    s_t-strongly convex with minimizer h_t over H, so
+    G_t(h_t) - G_t(h_{t+1}) <= <g_t, h_t - h_{t+1}> - (s_t/2)||h_{t+1} - h_t||^2;
+    splitting g_t = grad_t + (g_t - grad_t) and bounding
+    <grad_t, h_t - h_{t+1}> - (s_t/2)||h_{t+1} - h_t||^2 by ||grad_t||^2/(2 s_t)
+    gives the bracket.  The comparator term is psi_{T+1}(u), not psi_T(u):
+    h_{T+1} is built with s_{T+1}.
+    """
     rng = child_rng(seed, 0xF7)
     violations = 0
     min_slack = math.inf
@@ -311,7 +335,7 @@ def ftrl_regret_campaign(replications, seed, horizon=101, dim=5, noise_scale=0.0
         h_star = _ball_point(rng, dim, 0.3)
         obj = Quadratic(np.eye(dim), h_star, feasible_set=ball)
         noise = NoiseSpec("student-t", noise_scale, 2.5)
-        sigma = SyntheticOracle(noise).sigma(dim)
+        sigma = certified_sigma(noise, dim)
         oracle = SyntheticOracle(noise, seed=rng.integers(2**63))
         regs = QuadraticRegularizer.sqrt_schedule(1.0)
         learner = FtrlLearner(ball, regs)
@@ -322,28 +346,26 @@ def ftrl_regret_campaign(replications, seed, horizon=101, dim=5, noise_scale=0.0
         trace = run(obj, oracle, anchor, schedule, learner, np.ones(horizon), horizon)
 
         strengths = np.array([regs.strength(t) for t in range(1, horizon + 1)])
-        psi_star = 0.5 * strengths * float(h_star @ h_star)
+        u_sq = float(h_star @ h_star)
         psi_h1 = 0.5 * strengths[0] * float(h1 @ h1)
 
         lhs = 0.0
-        grad_terms = 0.0
-        psi_chain = 0.0  # sum_{t<T} (s_t - s_{t+1})/2 ||h_{t+1}||^2
-        for t in range(horizon - 1):
+        bracket_sum = 0.0
+        for t in range(horizon - 1):  # horizon T = t + 1; s_T = strengths[t]
             h_t, h_next = trace.ancillary[t], trace.ancillary[t + 1]
             g_bar = trace.grads_processed[t]
             grad_main = obj.gradient(trace.main[t])
             lhs += float(g_bar @ (h_t - h_star))
-            grad_terms += (
-                float(grad_main @ grad_main) / (2.0 * strengths[t])
+            bracket_sum += (
+                0.5 * (strengths[t] - strengths[t + 1]) * float(h_next @ h_next)
+                + float(grad_main @ grad_main) / (2.0 * strengths[t])
                 + float((grad_main - g_bar) @ (h_next - h_t))
             )
-            rhs = psi_star[t] - psi_h1 + psi_chain + grad_terms
+            rhs = 0.5 * strengths[t + 1] * u_sq - psi_h1 + bracket_sum
             slack = rhs - lhs
             min_slack = min(min_slack, slack)
             horizons_checked += 1
             violations += slack < INEQUALITY_SLACK
-            # the term at t enters later horizons once psi_{t+1} stops being final
-            psi_chain += 0.5 * (strengths[t] - strengths[t + 1]) * float(h_next @ h_next)
     return _report(
         "regret-ftrl",
         horizons_checked,

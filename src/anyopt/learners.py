@@ -3,13 +3,19 @@
 All shipped regularizers are quadratic, psi_t(h) = (s_t/2) ||h||^2 with a
 positive nondecreasing strength sequence (s_t), so every argmin has the closed
 form of a Euclidean projection.  Learner state is single-owner mutable.
+
+Learners step a single iterate (d,) or a batch of M independent iterates
+(M, d) with one shared schedule: iterates and gradients are updated row by
+row, and a state that starts as one vector broadcasts against the first batch
+of gradients.  Steps do not re-validate their input; the driver checks shapes
+and finiteness once, on entry and on exit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_vector, clamp_simplex
+from .geometry import as_batch, as_vector, clamp_simplex
 
 
 class QuadraticRegularizer:
@@ -142,7 +148,7 @@ class FtrlLearner:
         return self.h
 
     def step(self, t, alpha_t, alpha_next, g_bar):
-        self.dual_sum = self.dual_sum + alpha_t * as_vector(g_bar, dim=self.feasible.dim)
+        self.dual_sum = self.dual_sum + alpha_t * np.asarray(g_bar, dtype=np.float64)
         self.h = ftrl_step(self.feasible, self.regularizer.strength(t + 1), self.dual_sum)
         return self.h
 
@@ -169,7 +175,7 @@ class AoftrlLearner:
         return self.h
 
     def step(self, t, alpha_t, alpha_next, g_bar):
-        g_bar = as_vector(g_bar, dim=self.feasible.dim)
+        g_bar = np.asarray(g_bar, dtype=np.float64)
         self.dual_sum = self.dual_sum + alpha_t * g_bar
         self.h = aoftrl_step(
             self.feasible,
@@ -186,7 +192,10 @@ class AoftrlLearner:
 
 
 class MirrorDescentLearner:
-    """Stochastic mirror descent; Euclidean map makes it projected SGD."""
+    """Stochastic mirror descent; Euclidean map makes it projected SGD.
+
+    `h_start` is one start point (d,) or one per replication (M, d).
+    """
 
     name = "smd"
 
@@ -199,7 +208,7 @@ class MirrorDescentLearner:
                 h_start = feasible.project(np.zeros(feasible.dim))
             else:
                 h_start = np.full(feasible.dim, 1.0 / feasible.dim)
-        self._h_start = as_vector(h_start, dim=feasible.dim)
+        self._h_start = as_batch(h_start, dim=feasible.dim)
         self.h = None
 
     def start(self):

@@ -47,8 +47,11 @@ class Quadratic:
         return float(0.5 * (h @ self.matrix @ h) - self.offset @ h)
 
     def gradient(self, h):
-        h = as_vector(h, dim=self.dim)
-        return self.matrix @ h - self.offset
+        """A h - b for one point (d,), or per row of a batch (..., d); unvalidated."""
+        # one matrix-vector product per row, so a row of a batch gets the same
+        # bits as the same point alone
+        h = np.asarray(h, dtype=np.float64)
+        return (self.matrix @ h[..., None])[..., 0] - self.offset
 
     def bregman(self, u, v):
         """B_R(u; v) = R(u) - R(v) - <grad R(v), u - v>; exact curvature gap."""

@@ -7,8 +7,9 @@ CSV layout (one row per record, losses at 10 significant digits):
 JSON files mirror the same fields as a list of objects.  Every emission also
 writes a companion ``*_summary`` file with per-(method, epoch) means over
 trials.  Run traces serialize to JSON under the ``run-trace/1`` schema: a
-single object holding the horizon, dimension, per-step iterate/gradient
-arrays, thresholds, truncation flags, weights, and step sizes.
+single object holding the horizon, dimension, replication count (null for a
+single run), per-step iterate/gradient arrays, thresholds, truncation flags,
+weights, and step sizes.  Loading checks every array's shape against them.
 """
 
 from __future__ import annotations

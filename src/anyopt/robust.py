@@ -1,4 +1,8 @@
-"""Norm-truncated gradient feedback: anchors, thresholds, and the truncation step."""
+"""Norm-truncated gradient feedback: anchors, thresholds, and the truncation step.
+
+Anchors and thresholds act on the last axis, so one anchor (d,) or a batch of
+per-replication anchors (M, d) serve the driver alike.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_vector, dual_norm, primal_norm
+from .geometry import as_batch, as_vector, norm_rows
 from .objectives import risk_gradient
 
 
@@ -26,26 +30,40 @@ class Anchor:
     delta: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "h_tilde", as_vector(self.h_tilde))
-        object.__setattr__(self, "g_tilde", as_vector(self.g_tilde, dim=self.h_tilde.size))
+        object.__setattr__(self, "h_tilde", as_batch(self.h_tilde))
+        object.__setattr__(self, "g_tilde", as_batch(self.g_tilde))
+        if self.g_tilde.shape != self.h_tilde.shape:
+            raise ValueError(
+                f"anchor shapes differ: h_tilde {self.h_tilde.shape}, g_tilde {self.g_tilde.shape}"
+            )
         if self.eps_sigma < 0:
             raise ValueError("eps_sigma must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
 
-def process(g, anchor, threshold, norm_kind="l2"):
-    """Replace g by the dual anchor when it strays more than `threshold` away.
+def truncate(g, g_tilde, threshold, norm_kind="l2"):
+    """Row-wise truncation: each row farther than its threshold from g_tilde becomes g_tilde.
 
-    Returns (clipped gradient, truncated flag); the output always satisfies
-    ||output - g_tilde||_* <= threshold.
+    `g` is (d,) or (M, d), `threshold` a number or one per row.  Returns a new
+    array, never `g_tilde` itself, and the truncated flags (one per row).  No
+    validation: the driver checks inputs on entry and outputs on exit.
+    """
+    flags = norm_rows(g - g_tilde, norm_kind) > threshold
+    return np.where(flags[..., None], g_tilde, g), flags
+
+
+def process(g, anchor, threshold, norm_kind="l2"):
+    """Replace one gradient vector g by the dual anchor when it strays more than `threshold` away.
+
+    Returns (clipped gradient, truncated flag); the gradient is a new array
+    and always satisfies ||output - g_tilde||_* <= threshold.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    g = as_vector(g, dim=anchor.g_tilde.size)
-    if dual_norm(g - anchor.g_tilde, norm_kind) > threshold:
-        return anchor.g_tilde, True
-    return g, False
+    g = as_vector(g, dim=anchor.g_tilde.shape[-1])
+    out, flag = truncate(g, anchor.g_tilde, threshold, norm_kind)
+    return out, bool(flag)
 
 
 @dataclass(frozen=True)
@@ -64,8 +82,8 @@ class SmoothTheoryThreshold:
             raise ValueError("smoothness and eps_sigma must be nonnegative")
 
     def threshold_at(self, h_bar, anchor):
-        dist = primal_norm(anchor.h_tilde - as_vector(h_bar), self.norm_kind)
-        return self.eps_sigma + self.smoothness * dist + self.c0
+        dist = norm_rows(anchor.h_tilde - np.asarray(h_bar, dtype=np.float64), self.norm_kind)
+        return (self.eps_sigma + self.c0) + self.smoothness * dist
 
 
 @dataclass(frozen=True)
@@ -107,8 +125,11 @@ def certified_c0(smoothness, diameter, sigma, horizon, delta, eps_sigma=0.0):
 
 
 def exact_anchor(obj, h_tilde, delta=0.05):
-    """Anchor with g_tilde = grad R(h_tilde); eps_sigma = 0 holds surely."""
-    h_tilde = as_vector(h_tilde, dim=obj.dim)
+    """Anchor with g_tilde = grad R(h_tilde); eps_sigma = 0 holds surely.
+
+    `h_tilde` may be one point (d,) or one per replication (M, d).
+    """
+    h_tilde = as_batch(h_tilde, dim=obj.dim)
     return Anchor(h_tilde=h_tilde, g_tilde=risk_gradient(obj, h_tilde), delta=delta)
 
 

@@ -43,6 +43,14 @@ class TestAuditCommand:
         payload = json.loads(out_file.read_text())
         assert payload["kind"] == "bernstein" and payload["passed"]
 
+    @pytest.mark.parametrize("kind", ["lemma2", "regret-ftrl"])
+    def test_report_file_is_json_for_numpy_counts(self, tmp_path, capsys, kind):
+        out_file = tmp_path / "report.json"
+        main(["audit", "--kind", kind, "--replications", "2", "--seed", "0",
+              "--out", str(out_file)])
+        payload = json.loads(out_file.read_text())
+        assert payload["kind"] == kind and payload["violations"] == 0
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(SystemExit):
             main(["audit", "--kind", "nonsense"])

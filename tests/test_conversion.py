@@ -9,11 +9,11 @@ from anyopt.conversion import (
     run,
     weighting_update,
 )
-from anyopt.geometry import EuclideanMap, L2Ball
+from anyopt.geometry import EuclideanMap, GeometryError, L2Ball
 from anyopt.learners import MirrorDescentLearner
 from anyopt.objectives import Quadratic
 from anyopt.oracles import NoiseSpec, SyntheticOracle
-from anyopt.robust import HeuristicThreshold, exact_anchor
+from anyopt.robust import Anchor, HeuristicThreshold, exact_anchor
 
 
 def make_setup(dim=3, noise=0.2, seed=0, radius=1.0, beta=0.4):
@@ -296,3 +296,110 @@ class TestAnytimeIdentity:
         ) / trace.weights.sum()
         assert audit.rhs == pytest.approx(expected, rel=1e-12)
         assert audit.lhs == pytest.approx(expected, rel=1e-9)
+
+
+def _batch_setup(kind, seeds, dim=4):
+    """Objective, anchor(s), schedule, learner factory and norm kind for one geometry.
+
+    Start points and anchors are per replication for mirror descent and shared
+    for FTRL, so both layouts are driven.
+    """
+    from anyopt.geometry import NegativeEntropyMap, Simplex
+    from anyopt.learners import FtrlLearner, QuadraticRegularizer
+    from anyopt.robust import SmoothTheoryThreshold
+
+    rng = np.random.default_rng(len(seeds))
+    if kind == "entropy-smd":
+        feasible = Simplex(dim)
+        starts = rng.uniform(0.5, 1.5, (len(seeds), dim))
+        starts /= starts.sum(axis=1, keepdims=True)
+        target = np.full(dim, 1.0 / dim)
+    else:
+        feasible = L2Ball(np.zeros(dim), 1.0)
+        starts = rng.uniform(-0.4, 0.4, (len(seeds), dim))
+        target = np.full(dim, 0.2)
+    obj = Quadratic(np.diag(np.linspace(0.5, 2.0, dim)), target, feasible_set=feasible)
+    schedule = SmoothTheoryThreshold(smoothness=obj.smoothness, c0=0.3)
+
+    def learner(start):
+        if kind == "ftrl":
+            return FtrlLearner(feasible, QuadraticRegularizer.sqrt_schedule(2.0))
+        if kind == "entropy-smd":
+            return MirrorDescentLearner(NegativeEntropyMap(), feasible, steps=0.2, h_start=start)
+        return MirrorDescentLearner(EuclideanMap(), feasible, steps=0.4, h_start=start)
+
+    if kind == "ftrl":
+        starts = learner(None).start()
+    norm_kind = "linf" if kind == "entropy-smd" else "l2"
+    return obj, exact_anchor(obj, starts), schedule, learner, starts, norm_kind
+
+
+class TestBatchedRun:
+    """A batch of M replications equals M separate runs, row for row."""
+
+    FIELDS = ("ancillary", "main", "grads_raw", "grads_processed", "thresholds", "truncated")
+
+    @pytest.mark.parametrize("family,param", [("gaussian", 3.0), ("student-t", 2.5),
+                                              ("pareto", 3.0)])
+    @pytest.mark.parametrize("kind", ["euclidean-smd", "entropy-smd", "ftrl"])
+    def test_batch_equals_separate_runs(self, kind, family, param):
+        seeds, horizon = [11, 12, 13], 150  # crosses a noise block boundary
+        noise = NoiseSpec(family, 0.4, param)
+        obj, anchor, schedule, learner, starts, norm_kind = _batch_setup(kind, seeds)
+        weights = np.random.default_rng(3).uniform(0.5, 1.5, horizon)
+        batch = run(obj, SyntheticOracle(noise, seed=seeds), anchor, schedule,
+                    learner(starts), weights, horizon, norm_kind=norm_kind)
+        assert batch.horizon == horizon and batch.replications == len(seeds)
+        assert batch.ancillary.shape == (horizon, len(seeds), obj.dim)
+        assert batch.truncated.any()  # the clip acts on some rows
+        for i, seed in enumerate(seeds):
+            row = lambda a: a if a.ndim == 1 else a[i]  # shared (d,) or per replication
+            single = run(obj, SyntheticOracle(noise, seed=seed),
+                         Anchor(row(anchor.h_tilde), row(anchor.g_tilde)), schedule,
+                         learner(row(starts)), weights, horizon, norm_kind=norm_kind)
+            assert single.replications is None
+            for name in self.FIELDS:
+                np.testing.assert_allclose(getattr(batch, name)[:, i], getattr(single, name),
+                                           rtol=1e-12, atol=1e-12, err_msg=name)
+            np.testing.assert_array_equal(batch.step_sizes, single.step_sizes)
+
+    def test_batch_of_one_keeps_the_replication_axis(self):
+        obj, oracle, anchor, sched, learner = make_setup(seed=4)
+        batch = run(obj, SyntheticOracle(oracle.noise, seed=[4]), anchor, sched, learner,
+                    np.ones(10), 10)
+        single = run(*make_setup(seed=4), weights=np.ones(10), horizon=10)
+        assert batch.ancillary.shape == (10, 1, 3) and batch.thresholds.shape == (10, 1)
+        np.testing.assert_array_equal(batch.main[:, 0], single.main)
+
+    def test_entry_shapes_checked(self):
+        obj, _, anchor, sched, _ = make_setup()
+        noise = NoiseSpec("gaussian", 0.1)
+        ball = obj.feasible_set
+        two_starts = MirrorDescentLearner(EuclideanMap(), ball, steps=0.4,
+                                          h_start=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="start point"):
+            run(obj, SyntheticOracle(noise, seed=[1, 2, 3]), anchor, sched, two_starts,
+                np.ones(5), 5)
+        with pytest.raises(ValueError, match="start point"):  # one stream, two start points
+            run(obj, SyntheticOracle(noise, seed=1), anchor, sched, two_starts, np.ones(5), 5)
+        three_anchors = exact_anchor(obj, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="anchor"):
+            run(obj, SyntheticOracle(noise, seed=[1, 2]), three_anchors, sched, two_starts,
+                np.ones(5), 5)
+        outside = MirrorDescentLearner(EuclideanMap(), ball, steps=0.4, h_start=[[0.0] * 3,
+                                                                                 [2.0] * 3])
+        with pytest.raises(ValueError, match="feasible"):
+            run(obj, SyntheticOracle(noise, seed=[1, 2]), anchor, sched, outside, np.ones(5), 5)
+        with pytest.raises(ValueError, match="positive"):
+            run(*make_setup(), weights=np.array([1.0, np.nan, 1.0]), horizon=3)
+
+    def test_non_finite_trace_rejected_at_exit(self):
+        class Exploding:
+            replications = None
+
+            def query(self, obj, h_bar, t=None):
+                return obj.gradient(h_bar) * (np.inf if t == 3 else 1.0)
+
+        obj, _, anchor, sched, learner = make_setup()
+        with pytest.raises(GeometryError, match="non-finite"):
+            run(obj, Exploding(), anchor, HeuristicThreshold(1e300), learner, np.ones(6), 6)

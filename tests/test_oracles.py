@@ -3,6 +3,7 @@ import pytest
 
 from anyopt.objectives import MulticlassLogistic, Quadratic
 from anyopt.oracles import (
+    NOISE_BLOCK,
     EpochExhaustedError,
     MiniBatchOracle,
     NoiseSpec,
@@ -58,6 +59,70 @@ class TestCertifiedSigma:
         draws = noise.scale * rng.standard_t(noise.param, size=(1_000_000, 4))
         est = np.mean(np.sum(draws**2, axis=1))
         assert est == pytest.approx(certified_sigma(noise, 4) ** 2, rel=0.02)
+
+
+def per_step_noise(noise, seed, steps, dim):
+    """Reference stream: one draw of `dim` values per step, as the oracle defines it."""
+    rng = child_rng(seed)
+    rows = []
+    for _ in range(steps):
+        if noise.family == "gaussian":
+            raw = rng.standard_normal(dim)
+        elif noise.family == "student-t":
+            raw = rng.standard_t(noise.param, size=dim)
+        else:
+            raw = (1.0 + rng.pareto(noise.param, size=dim)) * rng.choice((-1.0, 1.0), size=dim)
+        rows.append(noise.scale * raw)
+    return np.array(rows)
+
+
+FAMILIES = [("gaussian", 3.0), ("student-t", 2.5), ("pareto", 3.0)]
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("family,param", [("student-t", 2.0), ("student-t", 1.0),
+                                              ("pareto", 2.0), ("pareto", 1.5)])
+    def test_infinite_variance_rejected_at_construction(self, family, param):
+        with pytest.raises(ValueError, match="finite second moment"):
+            NoiseSpec(family, 1.0, param)
+
+    def test_gaussian_ignores_param(self):
+        assert NoiseSpec("gaussian", 1.0, 0.5).family == "gaussian"
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("family,param", FAMILIES)
+    def test_block_draws_equal_per_step_draws(self, family, param):
+        noise = NoiseSpec(family, 0.7, param)
+        obj = Quadratic(np.eye(3), np.zeros(3))
+        oracle = SyntheticOracle(noise, seed=77)
+        steps = 2 * NOISE_BLOCK + 5  # two refills
+        served = np.array([oracle.query(obj, np.zeros(3), t) for t in range(steps)])
+        np.testing.assert_array_equal(served, per_step_noise(noise, 77, steps, 3))
+
+    @pytest.mark.parametrize("family,param", FAMILIES)
+    def test_batched_rows_equal_single_streams(self, family, param):
+        noise = NoiseSpec(family, 0.7, param)
+        obj = Quadratic(np.eye(2), np.zeros(2))
+        seeds = [5, 6, 7]
+        oracle = SyntheticOracle(noise, seed=seeds)
+        assert oracle.replications == 3
+        served = np.array([oracle.query(obj, np.zeros((3, 2))) for _ in range(NOISE_BLOCK + 3)])
+        for i, seed in enumerate(seeds):
+            np.testing.assert_array_equal(served[:, i],
+                                          per_step_noise(noise, seed, NOISE_BLOCK + 3, 2))
+
+    def test_one_dimension_per_oracle(self):
+        oracle = SyntheticOracle(NoiseSpec("gaussian", 1.0), seed=1)
+        oracle.query(small_quadratic(2), np.zeros(2))
+        with pytest.raises(ValueError, match="dimension"):
+            oracle.query(small_quadratic(3), np.zeros(3))
+
+    def test_seed_shape_checked(self):
+        with pytest.raises(ValueError):
+            SyntheticOracle(NoiseSpec(), seed=[])
+        with pytest.raises(ValueError):
+            SyntheticOracle(NoiseSpec(), seed=[[1, 2]])
 
 
 class TestSyntheticOracle:

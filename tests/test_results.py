@@ -100,3 +100,42 @@ class TestTraceFiles:
         np.testing.assert_array_equal(clone.main, trace.main)
         np.testing.assert_array_equal(clone.weights, trace.weights)
         assert json.loads(path.read_text())["schema"] == "run-trace/1"
+
+    @pytest.mark.parametrize("field,cut", [("ancillary", "rows"), ("grads_raw", "width"),
+                                           ("thresholds", "rows"), ("step_sizes", "rows")])
+    def test_truncated_trace_file_names_the_field(self, tmp_path, field, cut):
+        ball = L2Ball(np.zeros(2), 1.0)
+        obj = Quadratic(np.eye(2), np.zeros(2), feasible_set=ball)
+        h1 = np.array([0.2, 0.1])
+        trace = run(obj, SyntheticOracle(NoiseSpec("gaussian", 0.1), seed=4),
+                    exact_anchor(obj, h1), HeuristicThreshold(10.0),
+                    MirrorDescentLearner(EuclideanMap(), ball, steps=0.5, h_start=h1),
+                    np.ones(15), 15)
+        path = save_trace(trace, tmp_path / "trace.json")
+        payload = json.loads(path.read_text())
+        if cut == "rows":
+            payload[field] = payload[field][:-1]
+        else:
+            payload[field] = [row[:-1] for row in payload[field]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=field):
+            load_trace(path)
+
+    def test_batched_trace_roundtrip(self, tmp_path):
+        ball = L2Ball(np.zeros(2), 1.0)
+        obj = Quadratic(np.eye(2), np.zeros(2), feasible_set=ball)
+        h1 = np.array([[0.2, 0.1], [-0.3, 0.0], [0.0, 0.5]])
+        trace = run(obj, SyntheticOracle(NoiseSpec("gaussian", 0.1), seed=[4, 5, 6]),
+                    exact_anchor(obj, h1), HeuristicThreshold(0.2),
+                    MirrorDescentLearner(EuclideanMap(), ball, steps=0.5, h_start=h1),
+                    np.ones(12), 12)
+        path = save_trace(trace, tmp_path / "trace.json")
+        clone = load_trace(path)
+        assert clone.replications == 3 and clone.horizon == 12
+        for name in ("ancillary", "main", "grads_processed", "thresholds", "truncated"):
+            np.testing.assert_array_equal(getattr(clone, name), getattr(trace, name))
+        payload = json.loads(path.read_text())
+        payload["truncated"] = [row[:2] for row in payload["truncated"]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="truncated"):
+            load_trace(path)

@@ -65,6 +65,26 @@ class TestProcess:
         _, truncated = process(np.array([0.9, 0.9]), anchor, 1.0, norm_kind="linf")
         assert not truncated  # linf norm 0.9, though l2 would exceed 1
 
+    def test_clipped_output_does_not_alias_the_anchor(self):
+        anchor = Anchor(ZERO2, np.array([1.0, -2.0]))
+        out, truncated = process(np.array([30.0, 40.0]), anchor, 1.0)
+        assert truncated
+        out[0] = 99.0
+        np.testing.assert_array_equal(anchor.g_tilde, [1.0, -2.0])
+
+    def test_optimistic_hint_does_not_alias_the_anchor(self):
+        from anyopt.learners import AoftrlLearner, QuadraticRegularizer
+
+        ball = L2Ball(np.zeros(2), 1.0)
+        obj = Quadratic(np.eye(2), np.zeros(2), feasible_set=ball)
+        learner = AoftrlLearner(ball, QuadraticRegularizer(1.0))
+        anchor = exact_anchor(obj, np.array([0.5, 0.5]))
+        trace = run(obj, SyntheticOracle(NoiseSpec("gaussian", 5.0), seed=3), anchor,
+                    HeuristicThreshold(0.5), learner, np.ones(6), 6)
+        assert trace.truncated[:-1].any()
+        learner.hint[:] = 99.0
+        np.testing.assert_array_equal(anchor.g_tilde, [0.5, 0.5])
+
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
             process(ZERO2, Anchor(ZERO2, ZERO2), 0.0)
